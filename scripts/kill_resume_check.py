@@ -98,6 +98,8 @@ def main(argv=None) -> int:
         clean_url = f"sqlite:{workdir / 'clean.db'}"
     journal_dir = str(workdir / "journals")
     if args.obs_dir is not None:
+        # Absolute: the campaign subprocesses run with cwd=workdir.
+        args.obs_dir = args.obs_dir.resolve()
         args.obs_dir.mkdir(parents=True, exist_ok=True)
 
     # 1-2. Start the doomed run; SIGKILL once the store shows progress.

@@ -8,7 +8,7 @@ pool exactly:
 
 - the coordinator plugs into :func:`repro.runner.pool.run_campaign` as a
   cluster backend (:func:`repro.runner.pool.set_cluster_backend`), so the
-  cache-resolution prologue, journal begin/submitted records, and
+  cache-resolution prologue, journal ``begin`` record, and
   spec-order result merging are the *same code* as ``--jobs N``;
 - every completion is applied on the campaign thread through the runner's
   own ``_complete`` — store write first, journal ``completed`` strictly

@@ -32,7 +32,7 @@ from repro.experiments.configs import LIGHT_ALPHA, feasibility_experiment
 from repro.experiments.fig18_blinder import WINDOW, _OrderObserver
 from repro.experiments.report import format_table
 from repro.ml.metrics import accuracy
-from repro.runner import CampaignCell, CampaignSpec, ResultCache, derive_seed, run_campaign
+from repro.runner import CampaignCell, CampaignSpec, ResultStore, derive_seed, run_campaign
 from repro.service.journal import CampaignJournal
 from repro.sim.behaviors import ChannelScript
 from repro.sim.config import RunSpec, SystemSpec
@@ -210,7 +210,7 @@ def run(
     seed: int = 5,
     alpha: float = LIGHT_ALPHA,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
     schedulers: Optional[Sequence[str]] = None,
 ) -> DefenseMatrixResult:

@@ -27,7 +27,7 @@ from repro.experiments.fig12_accuracy import (
 )
 from repro.experiments.report import ascii_heatmap, ascii_histogram, paired_histogram
 from repro.model.configs import DEFAULT_ALPHA
-from repro.runner import CampaignCell, CampaignSpec, ResultCache, derive_seed, run_campaign
+from repro.runner import CampaignCell, CampaignSpec, ResultStore, derive_seed, run_campaign
 from repro.service.journal import CampaignJournal
 
 
@@ -95,7 +95,7 @@ def run(
     message_windows: int = 400,
     seed: int = 3,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
 ) -> Fig4Result:
     """Collect one NoRandom base-load dataset for panels (a)/(b) and run the

@@ -16,7 +16,7 @@ from repro.channel.attack import dataset_from_params, evaluate_attacks
 from repro.experiments.configs import LIGHT_ALPHA, feasibility_experiment
 from repro.experiments.report import format_table
 from repro.model.configs import DEFAULT_ALPHA
-from repro.runner import CampaignCell, CampaignSpec, ResultCache, default_key, derive_seed, run_campaign
+from repro.runner import CampaignCell, CampaignSpec, ResultStore, default_key, derive_seed, run_campaign
 from repro.service.journal import CampaignJournal
 
 DEFAULT_POLICIES = ("norandom", "timedice-uniform", "timedice")
@@ -142,7 +142,7 @@ def accuracy_sweep(
     message_windows: int = 400,
     seed: int = 3,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
 ) -> AccuracySweep:
@@ -194,7 +194,7 @@ def run(
     message_windows: int = 400,
     seed: int = 3,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
 ) -> AccuracySweep:

@@ -17,7 +17,7 @@ from repro.channel.attack import dataset_from_params, evaluate_attacks
 from repro.channel.capacity import channel_capacity_from_samples
 from repro.experiments.configs import feasibility_experiment
 from repro.experiments.report import format_table
-from repro.runner import CampaignCell, CampaignSpec, ResultCache, default_key, derive_seed, run_campaign
+from repro.runner import CampaignCell, CampaignSpec, ResultStore, default_key, derive_seed, run_campaign
 from repro.service.journal import CampaignJournal
 
 DEFAULT_ALPHAS = (0.06, 0.10, 0.16)
@@ -110,7 +110,7 @@ def run(
     message_windows: int = 250,
     seed: int = 3,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
 ) -> LoadSweepResult:
     """Run the sweep as a :mod:`repro.runner` campaign: ``jobs`` workers,

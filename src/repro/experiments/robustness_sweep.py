@@ -42,7 +42,7 @@ from repro.model.configs import DEFAULT_ALPHA, feasibility_system
 from repro.runner import (
     CampaignCell,
     CampaignSpec,
-    ResultCache,
+    ResultStore,
     default_key,
     derive_seed,
     run_campaign,
@@ -270,7 +270,7 @@ def run(
     message_windows: int = 80,
     seed: int = 3,
     jobs: int = 1,
-    cache: Union[None, str, ResultCache] = None,
+    cache: Union[None, str, ResultStore] = None,
     journal: Union[None, str, CampaignJournal] = None,
 ) -> RobustnessResult:
     """Run the sweep as a :mod:`repro.runner` campaign (parallel, cached,

@@ -115,8 +115,6 @@ __all__ = [
     "stop_trace_capture",
     "trace_capture",
     "drain_run_log",
-    "decide_rollup",
-    "faults_rollup",
     "runs_snapshot",
     "events",
     "EventLog",
@@ -186,8 +184,8 @@ class RunObs:
     interleaved simulations (pause/resume, nested experiments) never share
     mutable metric state. While the gate is on, freshly created scopes are
     also remembered in a bounded process-level log, which is how campaign
-    workers roll each cell's decide latencies up into
-    :class:`~repro.runner.telemetry.CampaignTelemetry`.
+    workers ship each cell's merged registry snapshot (:func:`runs_snapshot`)
+    to :class:`~repro.runner.telemetry.CampaignTelemetry`.
     """
 
     __slots__ = ("label", "registry", "spans")
@@ -209,22 +207,6 @@ def drain_run_log() -> List[RunObs]:
     return drained
 
 
-def decide_rollup(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
-    """Merge the ``decide.wall_ns`` histograms of ``runs`` into one snapshot.
-
-    Returns None when no run observed any decide (obs disabled, or no
-    simulation happened) so callers can skip the key entirely.
-    """
-    snapshots = []
-    for run in runs:
-        histogram = run.registry._histograms.get("decide.wall_ns")
-        if histogram is not None and histogram.count:
-            snapshots.append(histogram.snapshot())
-    if not snapshots:
-        return None
-    return merge_histogram_snapshots(snapshots)
-
-
 def runs_snapshot(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
     """Merge the full registry snapshots of ``runs`` into one flat dict.
 
@@ -236,25 +218,6 @@ def runs_snapshot(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
     snapshots = [run.registry.snapshot() for run in runs]
     merged = merge_registry_snapshots(snapshots)
     return merged or None
-
-
-def faults_rollup(runs: Sequence[RunObs]) -> Optional[Dict[str, int]]:
-    """Sum the gated ``faults.*`` counters of ``runs`` into one dict.
-
-    The campaign-worker companion of :func:`decide_rollup`: workers drain
-    the run log once and compute both. Returns None when no run ticked any
-    fault counter (obs disabled, no plan attached, or a null plan) so
-    callers can skip the key entirely.
-    """
-    totals: Dict[str, int] = {}
-    for run in runs:
-        for name, counter in run.registry._counters.items():
-            if name.startswith("faults.") and counter.value:
-                totals[name] = totals.get(name, 0) + counter.value
-    if not totals:
-        return None
-    totals["faults.total"] = sum(totals.values())
-    return totals
 
 
 # -- trace capture ----------------------------------------------------------

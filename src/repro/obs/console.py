@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.events import read_events
+from repro.obs.events import read_json_lines
 from repro.obs.export import read_metrics_snapshots
 from repro.obs.registry import merge_registry_snapshots
 
@@ -46,34 +46,12 @@ _TAIL_BYTES = 1 << 20
 
 
 def _tail_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """The last ~:data:`_TAIL_BYTES` of decodable events in ``path``.
-
-    Small files go through :func:`read_events` verbatim; for big ones we
-    seek to the tail and drop the first (possibly torn) line.
-    """
+    """The decodable events in the last ~:data:`_TAIL_BYTES` of ``path``."""
     try:
         size = os.path.getsize(path)
     except OSError:
         return []
-    if size <= _TAIL_BYTES:
-        return read_events(path)
-    import json
-
-    records: List[Dict[str, Any]] = []
-    with open(path, "rb") as handle:
-        handle.seek(size - _TAIL_BYTES)
-        chunk = handle.read()
-    for line in chunk.split(b"\n")[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    return read_json_lines(path, offset=max(0, size - _TAIL_BYTES))[0]
 
 
 def _campaign_stats(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:

@@ -8,12 +8,13 @@ answers "how much / how fast", the event log answers "what happened, in
 what order, on which worker" — and it survives the process, so a drainer
 on another host (ROADMAP item 2) can be audited after the fact.
 
-Records follow the journal's append discipline
-(:mod:`repro.service.journal`): each event is a single ``os.write`` of one
-JSON line to an ``O_APPEND`` descriptor, so concurrent writers — the pool
-parent and its forked workers share one inherited descriptor — interleave
-at record granularity and a SIGKILL can at worst tear the final line,
-which :func:`read_events` tolerates by skipping it.
+Records go through :class:`JsonLinesWriter`, the one JSON-lines writer the
+campaign journal (:mod:`repro.service.journal`) shares: each event is a
+single ``os.write`` of one JSON line to an ``O_APPEND`` descriptor, so
+concurrent writers — the pool parent and its forked workers share one
+inherited descriptor — interleave at record granularity and a SIGKILL can
+at worst tear the final line, which :func:`read_json_lines` tolerates by
+skipping it.
 
 Every record carries::
 
@@ -45,7 +46,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 #: Bumped if the record encoding changes incompatibly.
 EVENT_SCHEMA = 1
@@ -70,25 +71,41 @@ class _EventsState:
 EVENTS = _EventsState()
 
 
-class EventLog:
-    """Append-only JSON-lines event sink with per-process sequence numbers."""
+class JsonLinesWriter:
+    """Append-only JSON-lines file: each record is one ``os.write`` of one
+    compact, sorted-key line to a lazily opened ``O_APPEND`` descriptor.
+    The event log and the campaign journal both write through it."""
 
-    __slots__ = ("path", "_fd", "_pid", "_seq")
+    __slots__ = ("path", "_fd")
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._fd: Optional[int] = None
-        self._pid = os.getpid()
-        self._seq = 0
 
-    def _descriptor(self) -> int:
+    def write(self, record: Dict[str, Any]) -> None:
         if self._fd is None:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(
                 str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
-        return self._fd
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        os.write(self._fd, line.encode("utf-8"))
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+class EventLog(JsonLinesWriter):
+    """Event sink: the ``v``/``seq``/``pid``/``ts`` + context envelope."""
+
+    __slots__ = ("_pid", "_seq")
+
+    def __init__(self, path: Union[str, Path]):
+        super().__init__(path)
+        self._pid = os.getpid()
+        self._seq = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Atomically append one event (single ``write`` of one line).
@@ -115,13 +132,7 @@ class EventLog:
             record.update(_CONTEXT)
         if fields:
             record.update(fields)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        os.write(self._descriptor(), line.encode("utf-8"))
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self.write(record)
 
 
 _LOG: Optional[EventLog] = None
@@ -208,28 +219,44 @@ _MISSING = object()
 # -- reading ----------------------------------------------------------------
 
 
-def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every decodable event in ``path``, in file order (torn lines skipped).
+def read_json_lines(
+    path: Union[str, Path], offset: int = 0
+) -> Tuple[List[Dict[str, Any]], int]:
+    """``(records, torn)``: every JSON-object line of ``path`` in file order,
+    and the number of lines that did not decode to one.
 
-    Tolerates a missing file (returns ``[]``) and the torn final line a
-    SIGKILL can leave, exactly like the campaign journal's replay.
+    A missing file reads as ``([], 0)``. A SIGKILL mid-append leaves at
+    most a torn final line, which lands in ``torn`` instead of raising. With
+    ``offset > 0`` reading starts there: the first line is dropped, since it
+    may begin before the offset, and no byte before the offset is decoded.
     """
     records: List[Dict[str, Any]] = []
+    torn = 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
+            if offset > 0:
+                handle.seek(offset)
+                handle.readline()
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError:  # includes UnicodeDecodeError
+                    record = None
                 if isinstance(record, dict):
                     records.append(record)
+                else:
+                    torn += 1
     except FileNotFoundError:
         pass
-    return records
+    return records, torn
+
+
+def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Every decodable event in ``path``, in file order (torn lines skipped)."""
+    return read_json_lines(path)[0]
 
 
 def completed_cell_keys(path: Union[str, Path]) -> Set[str]:

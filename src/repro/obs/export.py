@@ -336,16 +336,16 @@ class MetricsExporter:
         self.directory = Path(directory)
         self.interval = float(interval)
         self.labels = dict(labels or {})
-        self._last = 0.0
+        self._last: Optional[float] = None  # None: the next tick writes
         self._pid = os.getpid()
 
     def tick(self) -> Optional["Path"]:
         if os.getpid() != self._pid:
             self._pid = os.getpid()
-            self._last = 0.0
+            self._last = None
             atexit.register(self._exit_flush)
         now = time.monotonic()
-        if now - self._last < self.interval:
+        if self._last is not None and now - self._last < self.interval:
             return None
         self._last = now
         return write_metrics_snapshot(self.directory, labels=self.labels)

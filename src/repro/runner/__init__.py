@@ -10,9 +10,9 @@ loops of the experiment modules into declarative, cacheable, parallel
   ``ProcessPoolExecutor``-backed execution with per-task timeouts, bounded
   exponential-backoff retries, and graceful degradation to serial when the
   pool keeps dying;
-- :mod:`repro.runner.cache` — the content-addressed result cache, now a
-  shim over :mod:`repro.store` (JSON files or WAL-mode SQLite, selected by
-  store URL) keyed on cell hash + code-version salt;
+- :mod:`repro.store` (re-exported here) — the content-addressed result
+  store (JSON files or WAL-mode SQLite, selected by store URL) keyed on
+  cell hash + code-version salt;
 - :mod:`repro.runner.telemetry` — structured progress events, per-worker
   wall-time accounting, live progress line, JSON dumps;
 - :mod:`repro.runner.seeding` — :func:`derive_seed`, guaranteeing parallel
@@ -31,15 +31,6 @@ Quickstart::
     print(result.telemetry.progress_line())
 """
 
-from repro.runner.cache import (
-    DEFAULT_CACHE_DIR,
-    MISS,
-    ResultCache,
-    ResultStore,
-    as_cache,
-    code_salt,
-    open_store,
-)
 from repro.runner.pool import (
     CampaignError,
     CampaignResult,
@@ -67,6 +58,7 @@ from repro.runner.telemetry import (
     session_footer,
     session_stats,
 )
+from repro.store import DEFAULT_CACHE_DIR, MISS, ResultStore, code_salt, open_store
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -80,10 +72,8 @@ __all__ = [
     "CellEvent",
     "CellOutcome",
     "ProgressPrinter",
-    "ResultCache",
     "ResultStore",
     "add_default_listener",
-    "as_cache",
     "open_store",
     "remove_default_listener",
     "canonical_json",

@@ -34,7 +34,7 @@ from repro.obs.events import EVENTS
 from repro.obs.events import emit as emit_event
 from repro.obs.export import export_tick
 from repro.obs.registry import MetricsRegistry, register_process_registry
-from repro.runner.cache import MISS, ResultStore, as_cache
+from repro.store import MISS, ResultStore, open_store
 from repro.service.journal import CampaignJournal, as_journal
 from repro.runner.spec import CampaignCell, CampaignSpec, resolve_task
 from repro.runner.telemetry import (
@@ -118,12 +118,10 @@ def _invoke_cell(task: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side entry: resolve the task function and run one cell.
 
     When :mod:`repro.obs` is enabled (workers fork after the CLI enables
-    it, so the gate is inherited), the decide-latency histograms of every
-    simulation the cell ran are merged into ``payload["metrics"]``, the
-    cell's ``faults.*`` counters into ``payload["faults"]``, and the full
-    merged registry snapshot into ``payload["obs"]`` — the per-cell
-    rollups :class:`~repro.runner.telemetry.CampaignTelemetry` aggregates
-    across cells (counters sum, histograms merge bucket-wise), which is
+    it, so the gate is inherited), the registries of every simulation the
+    cell ran are merged into ``payload["obs"]`` — the one per-cell snapshot
+    :class:`~repro.runner.telemetry.CampaignTelemetry` derives all of its
+    rollups from (counters sum, histograms merge bucket-wise), which is
     what keeps campaign rollups exact under ``--jobs N``.
 
     A trace capture started by the parent (``--trace-out``) is inherited
@@ -157,8 +155,6 @@ def _invoke_cell(task: str, params: Dict[str, Any]) -> Dict[str, Any]:
         "value": value,
         "wall": time.perf_counter() - start,
         "worker": f"pid-{os.getpid()}",
-        "metrics": _obs.decide_rollup(runs),
-        "faults": _obs.faults_rollup(runs),
         "obs": snapshot,
     }
 
@@ -343,7 +339,7 @@ def run_campaign(
         journal: ``None`` (no journaling), a directory path (the journal
             file is derived from the campaign's spec hash), or a
             :class:`~repro.service.journal.CampaignJournal`. The journal
-            records submitted/completed cell hashes with atomic appends;
+            records completed/failed cell hashes with atomic appends;
             on a re-run after a crash, cells completed by a prior
             generation are counted in ``telemetry.resumed``. Values replay
             from the ``cache`` store, so journaling without a store records
@@ -362,7 +358,7 @@ def run_campaign(
     if batch not in ("auto", "off"):
         raise ValueError(f"batch must be 'auto' or 'off', got {batch!r}")
     jobs = max(1, int(jobs))
-    store = as_cache(cache)
+    store = open_store(cache)
     tele = telemetry if telemetry is not None else CampaignTelemetry(spec.name)
     tele.campaign = spec.name
     tele.total = len(spec)
@@ -400,8 +396,6 @@ def run_campaign(
 
     if log is not None:
         log.begin(spec.name, spec.spec_hash(salt), len(spec), salt)
-        for attempt in pending:
-            log.submitted(attempt.content_hash, attempt.cell.key)
 
     runner = _CampaignRunner(
         spec=spec,
@@ -519,8 +513,6 @@ class _CampaignRunner:
                 attempt=attempt.attempt,
                 wall=payload["wall"],
                 worker=payload["worker"],
-                metrics=payload.get("metrics"),
-                faults=payload.get("faults"),
                 obs=payload.get("obs"),
             )
         )
@@ -584,14 +576,7 @@ class _CampaignRunner:
         share = payload["wall"] / len(group.members)
         for member, value in zip(group.members, results):
             self._complete(
-                member,
-                {
-                    "value": value,
-                    "wall": share,
-                    "worker": payload["worker"],
-                    "metrics": payload.get("metrics"),
-                    "faults": payload.get("faults"),
-                },
+                member, {"value": value, "wall": share, "worker": payload["worker"]}
             )
         return True
 

@@ -5,7 +5,7 @@ A **campaign** is a finite grid of independent experiment cells — typically
 The spec is declarative so it can be
 
 - **hashed**: every cell gets a stable content hash, which keys the on-disk
-  result cache (:mod:`repro.runner.cache`);
+  result store (:mod:`repro.store`);
 - **shipped to workers**: cells name their task function by dotted path
   (``"pkg.module:function"``) and carry only JSON-serializable parameters,
   so they cross process boundaries without pickling closures; and

@@ -31,15 +31,11 @@ FAILED = "failed"
 class CellEvent:
     """One telemetry event for one cell.
 
-    ``metrics`` (COMPUTED events only) carries the cell's observability
-    rollup — currently the merged ``decide.wall_ns`` histogram snapshot of
-    every simulation the cell ran — when :mod:`repro.obs` was enabled in
-    the worker; None otherwise. ``faults`` likewise carries the cell's
-    summed ``faults.*`` injection counters when obs was enabled and a
-    fault plan actually fired; None otherwise. ``obs`` is the cell's full
-    merged registry snapshot (:func:`repro.obs.runs_snapshot`) — every
-    gated counter/gauge/histogram the cell's simulations recorded — which
-    is what lets campaign-level rollups stay exact under ``--jobs N``.
+    ``obs`` (COMPUTED events only) is the cell's merged registry snapshot
+    (:func:`repro.obs.runs_snapshot`) — every gated counter/gauge/histogram
+    the cell's simulations recorded — when :mod:`repro.obs` was enabled in
+    the worker; None otherwise. Every campaign-level rollup derives from
+    these snapshots, which is what keeps them exact under ``--jobs N``.
     """
 
     kind: str
@@ -48,8 +44,6 @@ class CellEvent:
     wall: float = 0.0
     worker: str = ""
     error: str = ""
-    metrics: Optional[Dict[str, Any]] = None
-    faults: Optional[Dict[str, int]] = None
     obs: Optional[Dict[str, Any]] = None
 
 
@@ -72,7 +66,6 @@ class CampaignTelemetry:
         self.failed = 0
         self.retries = 0
         self.workers: Dict[str, WorkerStats] = {}
-        self.events: List[CellEvent] = []
         self.listeners: List[Callable[["CampaignTelemetry", CellEvent], None]] = []
         self.started = time.perf_counter()
         self.elapsed = 0.0
@@ -83,21 +76,14 @@ class CampaignTelemetry:
         #: campaign completed — i.e. cells a ``--resume`` skipped. Set by the
         #: pool when a campaign journal is active; 0 otherwise.
         self.resumed = 0
-        #: Per-cell decide-latency histogram snapshots (COMPUTED events that
-        #: carried an obs rollup), keyed by cell key.
-        self.cell_metrics: Dict[str, Dict[str, Any]] = {}
-        #: Per-cell ``faults.*`` counter rollups (COMPUTED events whose cell
-        #: injected faults with obs enabled), keyed by cell key.
-        self.cell_faults: Dict[str, Dict[str, int]] = {}
         #: Per-cell full registry snapshots (COMPUTED events that carried
-        #: one), keyed by cell key — the exact cross-worker aggregation
-        #: source: counters sum, histograms merge bucket-wise.
+        #: one), keyed by cell key — the one source of every rollup below:
+        #: counters sum, histograms merge bucket-wise.
         self.cell_obs: Dict[str, Dict[str, Any]] = {}
 
     # -- event stream ------------------------------------------------------
 
     def emit(self, event: CellEvent) -> None:
-        self.events.append(event)
         if event.kind == CACHED:
             self.cached += 1
         elif event.kind == COMPUTED:
@@ -106,10 +92,6 @@ class CampaignTelemetry:
                 stats = self.workers.setdefault(event.worker, WorkerStats())
                 stats.cells += 1
                 stats.wall += event.wall
-            if event.metrics:
-                self.cell_metrics[event.key] = event.metrics
-            if event.faults:
-                self.cell_faults[event.key] = event.faults
             if event.obs:
                 self.cell_obs[event.key] = event.obs
         elif event.kind == RETRIED:
@@ -141,7 +123,8 @@ class CampaignTelemetry:
 
     def decide_rollup(self) -> Optional[Dict[str, Any]]:
         """The cross-cell decide-latency rollup: p50/p95/max over the merged
-        histograms of every cell that reported one (obs enabled), or None.
+        ``decide.wall_ns`` histograms of every cell that reported one (obs
+        enabled), or None.
 
         Batch-engine cells legitimately lack ``decide.wall_ns`` (the
         vectorized backend has no scalar decide path); they are *skipped*,
@@ -149,21 +132,13 @@ class CampaignTelemetry:
         and ``cells_skipped`` (present only when non-zero) says how many
         reporting cells carried no decide histogram.
         """
-        sources: Dict[str, Dict[str, Any]] = {}
-        for key, snap in self.cell_obs.items():
-            histogram = snap.get("decide.wall_ns")
-            if isinstance(histogram, dict):
-                sources[key] = histogram
-        for key, histogram in self.cell_metrics.items():
-            sources.setdefault(key, histogram)
-        covered = {k: s for k, s in sources.items() if s and s.get("count")}
-        if not covered:
-            return None
         from repro.obs import merge_histogram_snapshots
 
-        merged = merge_histogram_snapshots(list(covered.values()))
-        if not merged["count"]:
+        histograms = [snap.get("decide.wall_ns") for snap in self.cell_obs.values()]
+        covered = [h for h in histograms if isinstance(h, dict) and h.get("count")]
+        if not covered:
             return None
+        merged = merge_histogram_snapshots(covered)
         rollup = {
             "cells": len(covered),
             "count": merged["count"],
@@ -171,23 +146,32 @@ class CampaignTelemetry:
             "p95_ns": merged["p95"],
             "max_ns": merged["max"],
         }
-        skipped = len(set(self.cell_metrics) | set(self.cell_obs)) - len(covered)
+        skipped = len(self.cell_obs) - len(covered)
         if skipped:
             rollup["cells_skipped"] = skipped
         return rollup
 
     def faults_rollup(self) -> Optional[Dict[str, Any]]:
-        """The cross-cell fault-injection rollup: summed ``faults.*``
-        counters over every cell that reported any (obs enabled and a
-        non-null plan fired), or None — the :meth:`decide_rollup` companion.
+        """The cross-cell fault-injection rollup: the summed
+        ``faults.<kind>`` counters (``kind`` in :data:`~repro.faults.FAULT_KINDS`)
+        of every cell that injected at least one fault, plus their
+        ``faults.total``; None when no cell did. Other ``faults.*`` counters
+        (``faults.ambient_overridden``) are not injections: they stay
+        visible in :meth:`obs_rollup` only.
         """
-        if not self.cell_faults:
+        from repro.faults.spec import FAULT_KINDS
+        from repro.obs import merge_registry_snapshots
+
+        names = [f"faults.{kind}" for kind in FAULT_KINDS]
+        fired = []
+        for snap in self.cell_obs.values():
+            counts = {name: snap[name] for name in names if snap.get(name)}
+            if counts:
+                fired.append(counts)
+        if not fired:
             return None
-        totals: Dict[str, int] = {}
-        for counters in self.cell_faults.values():
-            for name, value in counters.items():
-                totals[name] = totals.get(name, 0) + value
-        return {"cells": len(self.cell_faults), **totals}
+        totals = merge_registry_snapshots(fired)
+        return {"cells": len(fired), **totals, "faults.total": sum(totals.values())}
 
     def obs_rollup(self) -> Optional[Dict[str, Any]]:
         """The exact campaign-level registry rollup: every per-cell snapshot

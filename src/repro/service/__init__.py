@@ -4,7 +4,7 @@ Everything that turns :func:`repro.runner.run_campaign` from a library call
 into a shared, crash-safe facility:
 
 - :mod:`repro.service.journal` — :class:`CampaignJournal`, an append-only
-  record of submitted/completed cell hashes with atomic appends. A campaign
+  record of completed cell hashes with atomic appends. A campaign
   SIGKILLed mid-run resumes by recomputing only the cells its journal (and
   the result store) never saw complete, and the merged result is
   byte-identical to an uninterrupted run
@@ -27,7 +27,6 @@ from repro.service.journal import (
     BEGIN,
     COMPLETED,
     FAILED,
-    SUBMITTED,
     CampaignJournal,
     JournalState,
     as_journal,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_SERVICE_ROOT",
     "FAILED",
     "SERVICE_METRICS",
-    "SUBMITTED",
     "CampaignJournal",
     "Dispatcher",
     "DrainReport",

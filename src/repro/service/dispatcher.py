@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Union
 from repro.obs.events import EVENTS, bound_context
 from repro.obs.events import emit as emit_event
 from repro.obs.export import export_tick
-from repro.service.journal import CampaignJournal  # noqa: F401 — re-exported
 from repro.service.queue import DEFAULT_SERVICE_ROOT, SubmissionQueue, Ticket
 
 #: Request fields a submission may carry (anything else is rejected so typos

@@ -1,13 +1,15 @@
 """Crash-safe campaign journals.
 
 A journal is an append-only JSON-lines file recording the lifecycle of one
-campaign: a ``begin`` header, then one ``submitted`` record per cell
-scheduled for computation and one ``completed`` record per cell whose value
-has been durably written to the result store (``failed`` for terminal
-failures). Appends are **atomic**: each record is a single ``os.write`` of
-one line to an ``O_APPEND`` descriptor, so concurrent writers interleave at
-record granularity and a SIGKILL can at worst truncate the final line —
-which :meth:`CampaignJournal.replay` tolerates by discarding it.
+campaign: a ``begin`` header per generation, then one ``completed`` record
+per cell whose value has been durably written to the result store
+(``failed`` for terminal failures). Appends go through
+:class:`repro.obs.events.JsonLinesWriter` and are **atomic**: each record is
+a single ``os.write`` of one line to an ``O_APPEND`` descriptor, so
+concurrent writers interleave at record granularity and a SIGKILL can at
+worst truncate the final line — which :meth:`CampaignJournal.replay`
+tolerates by discarding it. Journals written before ``submitted`` records
+were dropped still replay: unknown record kinds are ignored.
 
 The journal is what makes a killed campaign *resumable with attribution*:
 the result store already guarantees completed cells are never recomputed
@@ -30,15 +32,14 @@ starts a fresh one.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
+
+from repro.obs.events import JsonLinesWriter, read_json_lines
 
 #: Record kinds, in lifecycle order.
 BEGIN = "begin"
-SUBMITTED = "submitted"
 COMPLETED = "completed"
 FAILED = "failed"
 
@@ -55,8 +56,6 @@ class JournalState:
     total: int = 0
     #: content_hash -> cell key, for every ``completed`` record seen.
     completed: Dict[str, str] = field(default_factory=dict)
-    #: content_hash -> cell key, for every ``submitted`` record seen.
-    submitted: Dict[str, str] = field(default_factory=dict)
     #: content_hash -> error string of terminal failures.
     failed: Dict[str, str] = field(default_factory=dict)
     #: Number of ``begin`` records — 1 for an uninterrupted run, +1 per resume.
@@ -76,7 +75,7 @@ class CampaignJournal:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._fd: Optional[int] = None
+        self._log = JsonLinesWriter(self.path)
 
     @classmethod
     def for_spec(
@@ -88,18 +87,9 @@ class CampaignJournal:
 
     # -- writing -----------------------------------------------------------
 
-    def _descriptor(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
-
     def append(self, record: Dict[str, Any]) -> None:
         """Atomically append one record (single ``write`` of one line)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        os.write(self._descriptor(), line.encode("utf-8"))
+        self._log.write(record)
 
     def begin(self, campaign: str, spec_hash: str, total: int, salt: str = "") -> None:
         self.append(
@@ -113,9 +103,6 @@ class CampaignJournal:
             }
         )
 
-    def submitted(self, content_hash: str, key: str) -> None:
-        self.append({"kind": SUBMITTED, "hash": content_hash, "key": key})
-
     def completed(self, content_hash: str, key: str) -> None:
         self.append({"kind": COMPLETED, "hash": content_hash, "key": key})
 
@@ -123,41 +110,13 @@ class CampaignJournal:
         self.append({"kind": FAILED, "hash": content_hash, "key": key, "error": error})
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._log.close()
 
     # -- reading -----------------------------------------------------------
 
-    def records(self) -> List[Dict[str, Any]]:
-        """Every decodable record, in append order (torn lines skipped)."""
-        return self._read()[0]
-
-    def _read(self):
-        records: List[Dict[str, Any]] = []
-        torn = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        torn += 1
-                        continue
-                    if isinstance(record, dict):
-                        records.append(record)
-                    else:
-                        torn += 1
-        except FileNotFoundError:
-            pass
-        return records, torn
-
     def replay(self) -> JournalState:
         """Fold the journal into a :class:`JournalState` digest."""
-        records, torn = self._read()
+        records, torn = read_json_lines(self.path)
         state = JournalState(torn_records=torn)
         for record in records:
             kind = record.get("kind")
@@ -166,8 +125,6 @@ class CampaignJournal:
                 state.campaign = str(record.get("campaign", state.campaign))
                 state.spec_hash = str(record.get("spec_hash", state.spec_hash))
                 state.total = int(record.get("total", state.total))
-            elif kind == SUBMITTED:
-                state.submitted[str(record.get("hash", ""))] = str(record.get("key", ""))
             elif kind == COMPLETED:
                 content_hash = str(record.get("hash", ""))
                 state.completed[content_hash] = str(record.get("key", ""))

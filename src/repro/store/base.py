@@ -48,8 +48,8 @@ MISS = object()
 
 def cache_schema() -> int:
     """The current :data:`repro.runner.spec.CACHE_SCHEMA` (lazy import:
-    ``repro.runner.cache`` re-exports this package, so a top-level import
-    here would be circular through ``repro.runner``'s package init)."""
+    ``repro.runner`` imports this package, so a top-level import here would
+    be circular through ``repro.runner``'s package init)."""
     from repro.runner.spec import CACHE_SCHEMA
 
     return CACHE_SCHEMA

@@ -32,11 +32,7 @@ from repro.store.base import (
 
 
 class JsonStore(ResultStore):
-    """A content-addressed one-file-per-entry JSON store.
-
-    This class is also importable as ``repro.runner.ResultCache``, its
-    pre-:mod:`repro.store` name.
-    """
+    """A content-addressed one-file-per-entry JSON store."""
 
     scheme = "json"
 
@@ -130,12 +126,9 @@ class JsonStore(ResultStore):
                 schema=int(entry.get("schema", 0)),
             )
 
-    # -- back-compat -------------------------------------------------------
-
     def put(
         self, content_hash: str, value: Any, meta: Optional[Dict[str, Any]] = None
     ) -> Path:
-        """:meth:`ResultStore.put`, returning the entry's path (historical
-        ``ResultCache.put`` contract)."""
+        """:meth:`ResultStore.put`, returning the entry's path."""
         super().put(content_hash, value, meta=meta)
         return self.path_for(content_hash)

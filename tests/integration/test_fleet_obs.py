@@ -23,6 +23,7 @@ from pathlib import Path
 
 import repro.obs as obs
 from repro.experiments import fig12_accuracy
+from repro.faults import FaultPlan, FaultSpec
 from repro.obs.events import (
     completed_cell_keys,
     disable_event_log,
@@ -34,9 +35,10 @@ from repro.obs.export import (
     start_metrics_exporter,
     stop_metrics_exporter,
 )
-from repro.obs.registry import merge_registry_snapshots
-from repro.runner import run_campaign, session_stats
+from repro.obs.registry import Histogram, merge_registry_snapshots
+from repro.runner import CampaignCell, CampaignSpec, run_campaign, session_stats
 from repro.service.journal import as_journal
+from repro.sim.config import RunSpec, SystemSpec
 from repro.store import STORE_METRICS
 
 
@@ -159,6 +161,74 @@ class TestExactRollups:
         assert merged["store.put_ns"]["count"] == parent_store["store.put_ns"]["count"]
         assert merged["store.get_ns"]["count"] == parent_store["store.get_ns"]["count"]
         assert merged["store.put_ns"]["count"] == len(small_campaign())
+
+
+def faulted_campaign():
+    """Eight scalar cells, half of them under an overrun plan that fires."""
+    plan = FaultPlan.of(FaultSpec("overrun", "Pi_2", rate=0.5, magnitude=2.0))
+    cells = []
+    for policy in ("norandom", "timedice"):
+        for seed in (1, 2):
+            for faults in (plan.to_dict(), None):
+                run = RunSpec(
+                    system=SystemSpec.named("three_partition"),
+                    policy=policy,
+                    seed=seed,
+                    horizon=200_000,
+                    faults=faults,
+                )
+                cells.append(
+                    CampaignCell(
+                        f"{policy}/seed={seed}/faulted={faults is not None}",
+                        "repro.runner.tasks:simulate_cell",
+                        {"runspec": run.to_dict()},
+                    )
+                )
+    return CampaignSpec("rollup-equivalence", cells)
+
+
+class TestRollupsFromCellSnapshots:
+    """The telemetry rollups derive from the per-cell registry snapshots
+    alone and keep the values the per-cell ``metrics``/``faults`` payloads
+    produced (the deterministic fields below were recorded with them)."""
+
+    #: Integer counters of the campaign's merged registry.
+    OBS_COUNTERS = {
+        "decide.schedulability_tests": 2350,
+        "engine.busy_us": 1294000,
+        "engine.events.arrival": 168,
+        "engine.events.replenish": 144,
+        "engine.idle_us": 306000,
+        "engine.segments": 932,
+        "faults.burst": 0,
+        "faults.crash": 0,
+        "faults.jitter": 0,
+        "faults.overrun": 20,
+        "faults.stall": 0,
+    }
+
+    def test_rollups_match_recorded_values_under_jobs(self):
+        obs.enable()
+        for jobs in (1, 2):
+            telemetry = run_campaign(faulted_campaign(), jobs=jobs).telemetry
+            snap = telemetry.snapshot()
+            decide = snap["decide_latency"]
+            assert (decide["cells"], decide["count"]) == (8, 932), jobs
+            assert "cells_skipped" not in decide
+            assert snap["faults"] == {"cells": 4, "faults.overrun": 20, "faults.total": 20}
+            counters = {k: v for k, v in snap["obs"].items() if isinstance(v, int)}
+            assert counters == self.OBS_COUNTERS, jobs
+
+            # The percentiles are those of the cells' summed decide buckets.
+            cells = [cell["decide.wall_ns"] for cell in telemetry.cell_obs.values()]
+            summed = Histogram("decide.wall_ns", cells[0]["bounds"])
+            summed.buckets = [sum(column) for column in zip(*(c["buckets"] for c in cells))]
+            summed.count = sum(c["count"] for c in cells)
+            summed.vmin = min(c["min"] for c in cells)
+            summed.vmax = max(c["max"] for c in cells)
+            assert decide["p50_ns"] == summed.percentile(0.50)
+            assert decide["p95_ns"] == summed.percentile(0.95)
+            assert decide["max_ns"] == summed.vmax
 
 
 class TestTopAgainstRunningDrain:

@@ -19,10 +19,18 @@ from repro.faults import (
     resolve_fault_plan,
 )
 from repro.model.configs import three_partition_example
+from repro.runner import CampaignCell, CampaignSpec, run_campaign
 from repro.sim.engine import Simulator
 
 EXPLICIT = FaultPlan.of(FaultSpec("jitter", "Pi_1", rate=0.3, magnitude=100.0))
 AMBIENT = FaultPlan.of(FaultSpec("overrun", "Pi_2", rate=0.5, magnitude=2.0))
+
+
+def overridden_cell(params):
+    """Builds, and never runs, a simulator whose explicit plan displaces
+    the ambient one: an override with zero injections."""
+    Simulator(three_partition_example(), policy="norandom", seed=1, faults=EXPLICIT)
+    return 0
 
 
 @pytest.fixture
@@ -99,3 +107,17 @@ class TestCounter:
             )
         finally:
             obs.disable()
+
+    def test_override_is_not_a_fault_injection(self, ambient_active):
+        obs.enable()
+        try:
+            with pytest.warns(RuntimeWarning):
+                result = run_campaign(
+                    CampaignSpec("override", [CampaignCell("c", f"{__name__}:overridden_cell", {})])
+                )
+        finally:
+            obs.disable()
+        telemetry = result.telemetry
+        assert telemetry.obs_rollup()["faults.ambient_overridden"] == 1
+        assert telemetry.faults_rollup() is None
+        assert telemetry.snapshot()["faults"] is None

@@ -23,6 +23,7 @@ from repro.obs.registry import (
     merge_histogram_snapshots,
 )
 from repro.obs.spans import Span, SpanBuffer
+from repro.runner.telemetry import COMPUTED, CampaignTelemetry, CellEvent
 from repro.sim.trace import Segment
 
 
@@ -266,19 +267,28 @@ class TestRunObsAndRunLog:
 
     def test_decide_rollup_merges_runs(self):
         obs.enable()
-        runs = []
-        for values in ([1000, 2000], [4000]):
+        telemetry = CampaignTelemetry("c")
+        for key, values in (("a", [1000, 2000]), ("b", [4000]), ("batch", [])):
             scope = obs.RunObs("r")
-            hist = scope.registry.histogram("decide.wall_ns")
-            for v in values:
-                hist.observe(v)
-            runs.append(scope)
-        merged = obs.decide_rollup(runs)
-        assert merged["count"] == 3
-        assert merged["max"] == 4000
+            scope.registry.counter("engine.segments").inc()
+            if values:
+                hist = scope.registry.histogram("decide.wall_ns")
+                for v in values:
+                    hist.observe(v)
+            telemetry.emit(CellEvent(COMPUTED, key, obs=obs.runs_snapshot([scope])))
+        rollup = telemetry.decide_rollup()
+        assert (rollup["cells"], rollup["count"]) == (2, 3)
+        assert rollup["max_ns"] == 4000
+        assert rollup["cells_skipped"] == 1  # reported, but no decide histogram
 
     def test_decide_rollup_none_without_observations(self):
-        assert obs.decide_rollup([obs.RunObs("empty")]) is None
+        obs.enable()
+        telemetry = CampaignTelemetry("c")
+        scope = obs.RunObs("empty")
+        scope.registry.histogram("decide.wall_ns")  # created, never observed
+        telemetry.emit(CellEvent(COMPUTED, "a", obs=obs.runs_snapshot([scope])))
+        assert telemetry.cell_obs
+        assert telemetry.decide_rollup() is None
 
 
 class TestTraceCapture:

@@ -99,6 +99,23 @@ class TestEventLog:
         ev.disable_event_log()
         assert ev.completed_cell_keys(path) == {"a", "b"}
 
+    def test_reader_counts_torn_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"a":1}\n[1,2]\n\xff\xfe\n\n{"b":2}\n{"c":')
+        assert ev.read_json_lines(path) == ([{"a": 1}, {"b": 2}], 3)
+        assert ev.read_json_lines(tmp_path / "missing.jsonl") == ([], 0)
+
+    def test_reader_offset_skips_the_partial_first_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        head = b"\xff not json at all\n" * 3  # would count as torn if decoded
+        path.write_bytes(head + b'{"kind":"cut"}\n{"kind":"kept"}\n')
+        # Mid-line: the partial line is dropped, nothing before it decoded.
+        assert ev.read_json_lines(path, offset=len(head) + 3) == ([{"kind": "kept"}], 0)
+        # A line starting exactly at the offset is dropped too: the reader
+        # cannot tell it from the tail of a longer line.
+        assert ev.read_json_lines(path, offset=len(head)) == ([{"kind": "kept"}], 0)
+        assert ev.read_json_lines(path)[1] == 3
+
     def test_appends_across_reopen(self, tmp_path):
         path = tmp_path / "events.jsonl"
         ev.enable_event_log(path)
@@ -210,6 +227,17 @@ class TestSnapshotFiles:
         assert exporter.tick() is None  # throttled
         assert exporter.flush() is not None  # unconditional
 
+    def test_exporter_first_tick_after_fork_writes(self, tmp_path, monkeypatch):
+        exit_hooks = []
+        monkeypatch.setattr("repro.obs.export.atexit.register", exit_hooks.append)
+        exporter = MetricsExporter(tmp_path, interval=3600.0)
+        exporter.flush()
+        assert exporter.tick() is None  # throttled by the flush
+        exporter._pid = os.getpid() + 1  # as if inherited across a fork
+        assert exporter.tick() is not None
+        assert exit_hooks == [exporter._exit_flush]
+        assert exporter.tick() is None
+
 
 class TestConsole:
     def _write_events(self, path, records):
@@ -274,6 +302,27 @@ class TestConsole:
         frame = render_top(state)
         assert f"pid {os.getpid()}" in frame
         assert "injected=3" in frame
+
+    def test_large_log_reads_only_its_tail(self, tmp_path):
+        from repro.obs.console import _TAIL_BYTES
+
+        path = tmp_path / "events.jsonl"
+        old = {"kind": "campaign.begin", "campaign": "old", "total": 9, "ts": 1.0}
+        lines = [json.dumps(old).encode() + b"\n"]
+        while sum(map(len, lines)) <= _TAIL_BYTES + 4096:
+            record = {"kind": "cell.complete", "campaign": "new",
+                      "cell": f"c{len(lines)}", "ts": 2.0}
+            lines.append(json.dumps(record).encode() + b"\n")
+        path.write_bytes(b"".join(lines))
+        offset = path.stat().st_size - _TAIL_BYTES
+        starts, position = [], 0
+        for line in lines:
+            starts.append(position)
+            position += len(line)
+        state = gather_fleet_state(events_path=path, now=3.0)
+        assert state["events_seen"] == sum(1 for start in starts if start > offset)
+        assert set(state["campaigns"]) == {"new"}
+        assert state["campaigns"]["new"]["done"] == state["events_seen"]
 
     def test_render_with_no_sources(self):
         frame = render_top(gather_fleet_state())

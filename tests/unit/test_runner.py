@@ -13,7 +13,6 @@ from repro.runner import (
     CampaignError,
     CampaignSpec,
     CampaignTelemetry,
-    ResultCache,
     canonical_json,
     default_key,
     derive_seed,
@@ -22,6 +21,7 @@ from repro.runner import (
     run_campaign,
 )
 from repro.runner.tasks import checksum_cell
+from repro.store import JsonStore
 
 # -- helper cell tasks (resolved by dotted path, so they must be module level)
 
@@ -167,19 +167,19 @@ class TestSpec:
 
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         assert cache.get("ab" + "0" * 38) is MISS
         cache.put("ab" + "0" * 38, {"v": 1}, meta={"key": "k"})
         assert cache.get("ab" + "0" * 38) == {"v": 1}
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_cached_none_is_not_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         cache.put("cd" + "0" * 38, None)
         assert cache.get("cd" + "0" * 38) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         path = cache.path_for("ef" + "0" * 38)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
@@ -187,7 +187,7 @@ class TestCache:
             assert cache.get("ef" + "0" * 38) is MISS
 
     def test_entry_records_provenance(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         path = cache.put("01" + "0" * 38, 42, meta={"campaign": "c", "key": "k"})
         entry = json.loads(path.read_text())
         assert entry["meta"]["campaign"] == "c"
@@ -196,13 +196,13 @@ class TestCache:
     def test_contains_agrees_with_get(self, tmp_path):
         # Regression: `in` used to check bare file existence, so corrupt or
         # schema-less entries were "present" yet get() returned MISS.
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         assert ("ab" + "0" * 38) not in cache
         cache.put("ab" + "0" * 38, {"v": 1})
         assert ("ab" + "0" * 38) in cache
 
     def test_contains_rejects_corrupt_entry(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         path = cache.path_for("ef" + "0" * 38)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
@@ -211,7 +211,7 @@ class TestCache:
         assert cache.get("ef" + "0" * 38) is MISS
 
     def test_contains_rejects_schemaless_entry(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         path = cache.path_for("1f" + "0" * 38)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"result": 42}))  # valid JSON, wrong schema
@@ -220,7 +220,7 @@ class TestCache:
         assert cache.get("1f" + "0" * 38) is MISS
 
     def test_contains_does_not_count_stats(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s")
+        cache = JsonStore(tmp_path, salt="s")
         cache.put("ab" + "0" * 38, 1)
         ("ab" + "0" * 38) in cache
         ("cd" + "0" * 38) in cache
@@ -255,8 +255,8 @@ class TestRunCampaign:
         assert warm.results == cold.results
 
     def test_salt_invalidates_cache(self, tmp_path):
-        run_campaign(_spec(), cache=ResultCache(tmp_path, salt="v1"))
-        rerun = run_campaign(_spec(), cache=ResultCache(tmp_path, salt="v2"))
+        run_campaign(_spec(), cache=JsonStore(tmp_path, salt="v1"))
+        rerun = run_campaign(_spec(), cache=JsonStore(tmp_path, salt="v2"))
         assert rerun.telemetry.cached == 0 and rerun.telemetry.computed == 3
 
     def test_param_change_misses_cache(self, tmp_path):
@@ -481,7 +481,7 @@ class TestObsRollup:
         obs.enable()
         result = run_campaign(_sim_spec(2))
         telemetry = result.telemetry
-        assert set(telemetry.cell_metrics) == {"seed=0", "seed=1"}
+        assert set(telemetry.cell_obs) == {"seed=0", "seed=1"}
         rollup = telemetry.decide_rollup()
         assert rollup is not None
         assert rollup["cells"] == 2
@@ -491,7 +491,7 @@ class TestObsRollup:
 
     def test_no_metrics_when_obs_disabled(self):
         result = run_campaign(_sim_spec(1))
-        assert result.telemetry.cell_metrics == {}
+        assert result.telemetry.cell_obs == {}
         assert result.telemetry.decide_rollup() is None
         assert result.telemetry.snapshot()["decide_latency"] is None
 

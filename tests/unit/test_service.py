@@ -29,8 +29,6 @@ class TestJournal:
     def test_replay_roundtrip(self, tmp_path):
         journal = CampaignJournal(tmp_path / "j.jsonl")
         journal.begin("camp", "deadbeef", total=3, salt="s")
-        journal.submitted("h1", "k1")
-        journal.submitted("h2", "k2")
         journal.completed("h1", "k1")
         journal.close()
         state = journal.replay()
@@ -38,11 +36,44 @@ class TestJournal:
         assert state.spec_hash == "deadbeef"
         assert state.total == 3
         assert state.generations == 1
-        assert state.submitted == {"h1": "k1", "h2": "k2"}
         assert state.completed == {"h1": "k1"}
         assert state.failed == {}
         assert state.torn_records == 0
         assert state.interrupted
+
+    def test_journal_with_submitted_records_replays_the_same(self, tmp_path):
+        # Journals used to carry one ``submitted`` record per scheduled cell
+        # after every ``begin``; replay ignores them, so such a journal folds
+        # to the same state as the same journal without them.
+        begin = {"kind": "begin", "schema": 1, "campaign": "camp",
+                 "spec_hash": "h", "total": 3, "salt": ""}
+        records = [
+            begin,
+            {"kind": "submitted", "hash": "h1", "key": "k1"},
+            {"kind": "submitted", "hash": "h2", "key": "k2"},
+            {"kind": "submitted", "hash": "h3", "key": "k3"},
+            {"kind": "completed", "hash": "h1", "key": "k1"},
+            {"kind": "failed", "hash": "h2", "key": "k2", "error": "boom"},
+            begin,
+            {"kind": "submitted", "hash": "h2", "key": "k2"},
+            {"kind": "submitted", "hash": "h3", "key": "k3"},
+            {"kind": "completed", "hash": "h2", "key": "k2"},
+        ]  # ...and the second generation was killed before finishing h3
+
+        def replay(name, kept):
+            path = tmp_path / name
+            path.write_text("".join(
+                json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in kept
+            ))
+            return CampaignJournal(path).replay()
+
+        old = replay("old.jsonl", records)
+        assert old.completed == {"h1": "k1", "h2": "k2"}
+        assert old.failed == {}
+        assert old.generations == 2
+        assert old.interrupted
+        assert old.torn_records == 0
+        assert replay("new.jsonl", [r for r in records if r["kind"] != "submitted"]) == old
 
     def test_empty_or_missing_journal_replays_empty(self, tmp_path):
         state = CampaignJournal(tmp_path / "absent.jsonl").replay()

@@ -317,14 +317,6 @@ class TestJsonLayout:
         assert data["value"] == {"v": 1}
         assert data["salt"] == store.salt
 
-    def test_is_the_runner_result_cache(self, tmp_path):
-        # The historical import path must keep working unchanged.
-        from repro.runner.cache import ResultCache, as_cache
-
-        assert ResultCache is JsonStore
-        handle = as_cache(str(tmp_path / "c"))
-        assert isinstance(handle, JsonStore)
-
 
 class TestSqliteBackend:
     def test_concurrent_handles_share_data(self, tmp_path):
