@@ -2,7 +2,7 @@
 
 CI runs this as a plain script (no pytest-benchmark session needed) and
 uploads the JSON artifact, so every pipeline records the decide-latency
-distribution of the Fig. 6 example with the memo on and off:
+distribution of the Fig. 6 example under TimeDice and NoRandom:
 
     PYTHONPATH=src python benchmarks/bench_smoke.py [--out BENCH_smoke.json]
 
@@ -26,21 +26,18 @@ from repro.sim.engine import Simulator
 HORIZON_MS = 500
 
 
-def one_run(policy: str, memoize: bool, seed: int = 3) -> dict:
+def one_run(policy: str, seed: int = 3) -> dict:
     obs.enable()
     try:
-        sim = Simulator(
-            three_partition_example(), policy=policy, seed=seed, memoize=memoize
-        )
+        sim = Simulator(three_partition_example(), policy=policy, seed=seed)
         result = sim.run_for_ms(HORIZON_MS)
     finally:
         obs.disable()
     decide = result.metrics["decide.wall_ns"]
     if not decide["count"]:
-        raise SystemExit(f"no decide observations for {policy} memoize={memoize}")
+        raise SystemExit(f"no decide observations for {policy}")
     return {
         "policy": policy,
-        "memoize": memoize,
         "seed": seed,
         "horizon_ms": HORIZON_MS,
         "decisions": result.decisions,
@@ -48,9 +45,6 @@ def one_run(policy: str, memoize: bool, seed: int = 3) -> dict:
         "decide_p95_ns": decide["p95"],
         "decide_max_ns": decide["max"],
         "decide_mean_ns": decide["mean"],
-        "memo_hits": result.memo_hits,
-        "memo_misses": result.memo_misses,
-        "memo_hit_rate": result.memo_hit_rate,
         "deadline_misses": result.deadline_misses,
     }
 
@@ -361,11 +355,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_smoke.json")
     args = parser.parse_args(argv)
 
-    runs = [
-        one_run("timedice", memoize=True),
-        one_run("timedice", memoize=False),
-        one_run("norandom", memoize=False),
-    ]
+    runs = [one_run("timedice"), one_run("norandom")]
     document = {
         "schema": "bench-smoke/1",
         "python": platform.python_version(),
@@ -383,7 +373,7 @@ def main(argv=None) -> int:
         json.dump(document, handle, indent=2, sort_keys=True)
     for run in runs:
         print(
-            f"{run['policy']:<10} memo={str(run['memoize']):<5} "
+            f"{run['policy']:<10} "
             f"p50={run['decide_p50_ns'] / 1e3:8.1f} us  "
             f"p95={run['decide_p95_ns'] / 1e3:8.1f} us  "
             f"({run['decisions']} decisions)"

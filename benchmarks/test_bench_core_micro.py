@@ -87,34 +87,18 @@ def test_weighted_selection(benchmark, snapshots):
     benchmark(one)
 
 
-def _decide_bench(benchmark, states, memoize):
-    scheduler = TimeDice(seed=1, memoize=memoize)
+def _decide_bench(benchmark, states):
+    scheduler = TimeDice(seed=1)
     cycler = itertools.cycle(states)
     benchmark(lambda: scheduler.decide(next(cycler)))
-    if memoize:
-        benchmark.extra_info["memo"] = scheduler.memo_stats.as_dict()
 
 
-def test_timedice_decide_unmemoized(benchmark, snapshots):
-    _decide_bench(benchmark, snapshots, memoize=False)
+def test_timedice_decide(benchmark, snapshots):
+    _decide_bench(benchmark, snapshots)
 
 
-def test_timedice_decide_memoized(benchmark, snapshots):
-    # The 100 snapshots cycle through a 2000 us lattice of a periodic
-    # system, so after the first lap every phase-relative state repeats:
-    # the memoized decide must come in well under the unmemoized one
-    # (>= 2x median is the acceptance bar for the memo layer).
-    _decide_bench(benchmark, snapshots, memoize=True)
-
-
-def test_timedice_decide_20_partitions_unmemoized(benchmark, snapshots20):
-    _decide_bench(benchmark, snapshots20, memoize=False)
-
-
-def test_timedice_decide_20_partitions_memoized(benchmark, snapshots20):
-    # At |Pi| = 20 nearly the whole decision is schedulability testing, so
-    # this is where the memo pays the most (>= 4x median in practice).
-    _decide_bench(benchmark, snapshots20, memoize=True)
+def test_timedice_decide_20_partitions(benchmark, snapshots20):
+    _decide_bench(benchmark, snapshots20)
 
 
 def test_snapshot_construction(benchmark):

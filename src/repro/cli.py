@@ -418,7 +418,7 @@ def _run_figures(args) -> str:
 def _run_stats(args) -> str:
     """``stats [policy]`` — run one short simulation with observability on
     and pretty-print its metrics snapshot (engine counters, decide-latency
-    histogram, memo counters, span aggregates)."""
+    histogram, candidacy counters, span aggregates)."""
     from repro._time import MS
     from repro.sim.config import RunSpec, SystemSpec
     from repro.sim.engine import Simulator

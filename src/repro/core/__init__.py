@@ -16,9 +16,6 @@ Layout:
 - :mod:`repro.core.candidacy` — the incremental candidate search
   (Algorithms 1–2, Fig. 9's :math:`\\mathcal{O}(|\\Pi|)` optimization),
   with the imaginary IDLE partition.
-- :mod:`repro.core.memo` — exact, bounded-LRU memoization of the
-  schedulability test across quanta (phase-relative keys; absolute time
-  cancels out of Eq. 1).
 - :mod:`repro.core.selection` — uniform, weighted (remaining-utilization
   lottery), and inverse-weighted (Theorem 1 ablation) random selectors.
 - :mod:`repro.core.timedice` — the :class:`TimeDice` facade combining
@@ -33,7 +30,6 @@ from repro.core.edf import (
     edf_supply_report,
     supply_bound,
 )
-from repro.core.memo import DEFAULT_MEMO_SIZE, MemoStats, SchedulabilityMemo, memo_key
 from repro.core.selection import (
     HighestPrioritySelector,
     InverseUtilizationSelector,
@@ -54,10 +50,6 @@ __all__ = [
     "supply_bound",
     "edf_supply_feasible",
     "edf_supply_report",
-    "SchedulabilityMemo",
-    "MemoStats",
-    "memo_key",
-    "DEFAULT_MEMO_SIZE",
     "UniformSelector",
     "WeightedUtilizationSelector",
     "InverseUtilizationSelector",

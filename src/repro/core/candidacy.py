@@ -32,15 +32,12 @@ everybody else when a lower candidate or IDLE is vetted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.core.busy_interval import schedulability_test
 from repro.core.state import IDLE, PartitionState, SystemState
 
 Candidate = Union[PartitionState, type(IDLE)]
-
-#: Signature of a schedulability tester: ``(h, higher, t, w) -> bool``.
-Tester = Callable[[PartitionState, Sequence[PartitionState], int, int], bool]
 
 
 @dataclass
@@ -56,7 +53,6 @@ def candidate_search(
     state: SystemState,
     w: int,
     allow_idle: bool = True,
-    tester: Optional[Tester] = None,
 ) -> Tuple[List[Candidate], SearchStats]:
     """Step 1 of Algorithm 1: the list of partitions allowed to take the CPU.
 
@@ -65,11 +61,6 @@ def candidate_search(
         w: The inversion quantum ``MIN_INV_SIZE`` (µs).
         allow_idle: When True, the imaginary IDLE partition is tested and, if
             schedulability-preserving, appended to the candidate list.
-        tester: Schedulability test to use; defaults to
-            :func:`~repro.core.busy_interval.schedulability_test`. Pass a
-            :class:`~repro.core.memo.SchedulabilityMemo` to reuse test
-            outcomes across decisions (``stats.schedulability_tests`` keeps
-            counting *logical* tests either way).
 
     Returns:
         ``(candidates, stats)``. ``candidates`` preserves decreasing priority
@@ -78,7 +69,6 @@ def candidate_search(
         (the caller should then idle until the next event).
     """
     t = state.t
-    test = schedulability_test if tester is None else tester
     stats = SearchStats()
     active = state.active_ready()
     if not active:
@@ -102,23 +92,14 @@ def candidate_search(
     next_untested = 0
     rank_of = {p.name: i for i, p in enumerate(all_parts)}
 
-    # A memoizing tester can open the whole decision at once (amortizing its
-    # key construction over the prefix-structured call sequence); any plain
-    # callable is used test-by-test.
-    prepare = getattr(test, "prepare", None)
-    vet = prepare(all_parts, t, w) if prepare is not None else None
-
     def vet_up_to(limit: int) -> bool:
         """Test every not-yet-tested partition with rank < limit."""
         nonlocal next_untested
         while next_untested < limit:
             stats.schedulability_tests += 1
-            ok = (
-                vet(next_untested)
-                if vet is not None
-                else test(all_parts[next_untested], all_parts[:next_untested], t, w)
-            )
-            if not ok:
+            if not schedulability_test(
+                all_parts[next_untested], all_parts[:next_untested], t, w
+            ):
                 return False
             next_untested += 1
         return True

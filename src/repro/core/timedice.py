@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from repro._time import MS
 from repro.core.candidacy import Candidate, SearchStats, candidate_search
-from repro.core.memo import DEFAULT_MEMO_SIZE, MemoStats, SchedulabilityMemo
 from repro.core.selection import Selector, WeightedUtilizationSelector
 from repro.core.state import IDLE, SystemState
 from repro.obs.gate import GATE
@@ -66,11 +65,6 @@ class TimeDice:
             even idling preserves schedulability.
         seed: Seed for the internal RNG; pass ``rng`` instead to share one.
         rng: Optional externally-owned RNG (takes precedence over ``seed``).
-        memoize: Reuse schedulability-test outcomes across decisions via
-            :class:`~repro.core.memo.SchedulabilityMemo` (default on). The
-            cache is exact — decision sequences are bit-identical with or
-            without it — so this only trades memory for decide latency.
-        memo_size: LRU capacity of the memo when ``memoize`` is on.
     """
 
     def __init__(
@@ -80,8 +74,6 @@ class TimeDice:
         allow_idle: bool = True,
         seed: Optional[int] = None,
         rng: Optional[random.Random] = None,
-        memoize: bool = True,
-        memo_size: int = DEFAULT_MEMO_SIZE,
     ):
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum}")
@@ -89,9 +81,6 @@ class TimeDice:
         self.quantum = quantum
         self.allow_idle = allow_idle
         self.rng = rng if rng is not None else random.Random(seed)
-        self.memo: Optional[SchedulabilityMemo] = (
-            SchedulabilityMemo(maxsize=memo_size) if memoize else None
-        )
         #: Cumulative counters over the scheduler's lifetime.
         self.total_decisions = 0
         self.total_schedulability_tests = 0
@@ -103,16 +92,14 @@ class TimeDice:
     def attach_obs(self, run_obs) -> None:
         """Bind a :class:`repro.obs.RunObs` scope (engine hand-off).
 
-        Wires the candidacy sweep's span + counters and forwards the scope
-        to the memo. Metrics collect only while the obs gate is on.
+        Wires the candidacy sweep's span + counters. Metrics collect only
+        while the obs gate is on.
         """
         self._obs = run_obs
         self._m_tests = run_obs.registry.counter("decide.schedulability_tests")
         self._m_candidates = run_obs.registry.histogram(
             "decide.candidates", bounds=tuple(range(1, 33))
         )
-        if self.memo is not None:
-            self.memo.attach_obs(run_obs)
 
     def decide(self, state: SystemState) -> Decision:
         """Make one scheduling decision at ``state.t``.
@@ -124,18 +111,14 @@ class TimeDice:
         """
         if self._obs is not None and GATE.enabled:
             t0 = _wall.perf_counter_ns()
-            candidates, stats = candidate_search(
-                state, self.quantum, self.allow_idle, tester=self.memo
-            )
+            candidates, stats = candidate_search(state, self.quantum, self.allow_idle)
             self._obs.spans.record(
                 "candidacy", t0, _wall.perf_counter_ns() - t0, sim_ts=state.t
             )
             self._m_tests.inc(stats.schedulability_tests)
             self._m_candidates.observe(len(candidates))
         else:
-            candidates, stats = candidate_search(
-                state, self.quantum, self.allow_idle, tester=self.memo
-            )
+            candidates, stats = candidate_search(state, self.quantum, self.allow_idle)
         self.total_decisions += 1
         self.total_schedulability_tests += stats.schedulability_tests
         if not candidates:
@@ -143,18 +126,7 @@ class TimeDice:
         choice = self.selector.select(candidates, state.t, self.rng)
         return Decision(choice, list(candidates), stats, self.quantum)
 
-    @property
-    def memo_stats(self) -> Optional[MemoStats]:
-        """Hit/miss/eviction counters of the memo, or None when disabled."""
-        return self.memo.stats if self.memo is not None else None
-
     def reset_counters(self) -> None:
-        """Zero the lifetime counters (between benchmark repetitions).
-
-        The memo's *counters* are reset too; its cached entries are kept (a
-        warm cache is part of steady-state behaviour, and entries are exact).
-        """
+        """Zero the lifetime counters (between benchmark repetitions)."""
         self.total_decisions = 0
         self.total_schedulability_tests = 0
-        if self.memo is not None:
-            self.memo.stats.reset()

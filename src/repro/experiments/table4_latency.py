@@ -11,13 +11,8 @@ duplicated at constant total utilization):
 - **Table V**: scheduling decisions and partition switches per simulated
   second, NoRandom vs TimeDice.
 
-Each TimeDice system is run twice, with the schedulability memo
-(:mod:`repro.core.memo`) off and on. The two runs make **bit-identical**
-decision sequences (the memo is exact), so the cached-vs-uncached latency
-comparison isolates the cost of the busy-interval fixed points — the very
-overhead Fig. 17 / Table IV measure — and is reported as its own exhibit.
-The uncached run feeds the classic Table IV / Fig. 17 numbers, matching the
-paper's memo-less kernel implementation.
+Each decision re-runs the busy-interval fixed points (Eqs. 1–3) from
+scratch, as the paper's kernel implementation of Algorithm 1 does.
 """
 
 from __future__ import annotations
@@ -36,20 +31,11 @@ DEFAULT_FACTORS = (1, 2, 4)  # |Pi| = 5, 10, 20
 
 @dataclass
 class OverheadResult:
-    """Everything the overhead exhibits need, keyed by partition count.
-
-    ``latencies_us`` / ``overhead_by_second_ms`` come from the *uncached*
-    runs (the paper's setting); ``latencies_memo_us`` /
-    ``overhead_memo_by_second_ms`` from the memoized runs; ``memo`` holds the
-    per-|Π| hit/miss/eviction counters and hit rate.
-    """
+    """Everything the overhead exhibits need, keyed by partition count."""
 
     latencies_us: Dict[int, np.ndarray] = field(default_factory=dict)
-    latencies_memo_us: Dict[int, np.ndarray] = field(default_factory=dict)
     overhead_by_second_ms: Dict[int, List[float]] = field(default_factory=dict)
-    overhead_memo_by_second_ms: Dict[int, List[float]] = field(default_factory=dict)
     rates: Dict[Tuple[int, str], Dict[str, float]] = field(default_factory=dict)
-    memo: Dict[int, Dict[str, float]] = field(default_factory=dict)
     simulated_seconds: float = 0.0
 
     def format_table4(self) -> str:
@@ -103,46 +89,12 @@ class OverheadResult:
             headers, rows, title="[Table V] scheduling decisions and partition switches"
         )
 
-    def format_memo(self) -> str:
-        """Cached vs uncached decide latency (the ``repro.core.memo`` study)."""
-        headers = [
-            "|Pi|",
-            "median us (cold)",
-            "median us (memo)",
-            "speedup",
-            "hit rate",
-            "evictions",
-            "bypassed",
-        ]
-        rows = []
-        for n in sorted(self.latencies_memo_us):
-            cold = float(np.median(self.latencies_us[n]))
-            warm = float(np.median(self.latencies_memo_us[n]))
-            stats = self.memo.get(n, {})
-            rows.append(
-                [
-                    n,
-                    f"{cold:.3f}",
-                    f"{warm:.3f}",
-                    f"{cold / warm:.2f}x" if warm > 0 else "inf",
-                    f"{stats.get('hit_rate', 0.0) * 100:.1f}%",
-                    f"{int(stats.get('evictions', 0))}",
-                    f"{int(stats.get('bypassed', 0))}",
-                ]
-            )
-        return format_table(
-            headers,
-            rows,
-            title="[memo] TimeDice decide latency, schedulability memo off vs on",
-        )
-
     def format(self) -> str:
         return "\n\n".join(
             [
                 self.format_table4(),
                 self.format_fig17(),
                 self.format_table5(),
-                self.format_memo(),
             ]
         )
 
@@ -150,42 +102,20 @@ class OverheadResult:
 def run(
     factors: Sequence[int] = DEFAULT_FACTORS, seconds: float = 10.0, seed: int = 1
 ) -> OverheadResult:
-    """Measure overhead on the 5/10/20-partition systems, memo off and on."""
+    """Measure overhead on the 5/10/20-partition systems."""
     result = OverheadResult(simulated_seconds=seconds)
     for factor in factors:
         system = scaled_partition_count(factor)
         n = len(system)
-        for memoize in (False, True):
-            sim = Simulator(
-                system,
-                policy="timedice",
-                seed=seed,
-                measure_overhead=True,
-                memoize=memoize,
-            )
-            run_result = sim.run_for_seconds(seconds)
-            latencies = (
-                np.asarray(run_result.decide_latencies_ns, dtype=np.float64) / 1000.0
-            )
-            by_second = [
-                run_result.overhead_ns_by_second.get(second, 0) / 1e6
-                for second in range(int(seconds))
-            ]
-            if memoize:
-                result.latencies_memo_us[n] = latencies
-                result.overhead_memo_by_second_ms[n] = by_second
-                result.memo[n] = {
-                    "hits": run_result.memo_hits,
-                    "misses": run_result.memo_misses,
-                    "evictions": run_result.memo_evictions,
-                    "bypassed": run_result.memo_bypassed,
-                    "hit_rate": run_result.memo_hit_rate,
-                }
-            else:
-                result.latencies_us[n] = latencies
-                result.overhead_by_second_ms[n] = by_second
-        # Decision/switch rates are identical with and without the memo (the
-        # decision sequences are bit-identical); report the memoized run's.
+        sim = Simulator(system, policy="timedice", seed=seed, measure_overhead=True)
+        run_result = sim.run_for_seconds(seconds)
+        result.latencies_us[n] = (
+            np.asarray(run_result.decide_latencies_ns, dtype=np.float64) / 1000.0
+        )
+        result.overhead_by_second_ms[n] = [
+            run_result.overhead_ns_by_second.get(second, 0) / 1e6
+            for second in range(int(seconds))
+        ]
         result.rates[(n, "timedice")] = run_result.rates()
 
         nr = Simulator(system, policy="norandom", seed=seed)

@@ -21,7 +21,7 @@ and null specs are dropped at construction, so a zero-intensity plan leaves
 the run bit-identical to no plan at all.
 
 Accounting: exact per-kind injection counts live in :attr:`counts`
-(always correct, like the memo's exact stats) and are folded into
+(always correct, gate on or off) and are folded into
 ``SimulationResult.metrics`` under ``faults.<kind>`` by the engine. When
 :func:`repro.obs.enable` is in effect, the same injections also tick gated
 ``faults.<kind>`` counters in the run's registry (the campaign fault rollup

@@ -1,7 +1,7 @@
 """``repro.obs`` — the shared observability layer.
 
 One lightweight, zero-dependency substrate used by the simulator engine,
-the scheduler policies, the schedulability memo, and the campaign runner:
+the scheduler policies, and the campaign runner:
 
 - :mod:`repro.obs.registry` — counters / gauges / fixed-bucket histograms,
   cheap enough to stay on in the per-quantum decide hot path;
@@ -180,7 +180,7 @@ class RunObs:
     """One run's observability scope: a metrics registry plus a span buffer.
 
     The engine builds one per :class:`~repro.sim.engine.Simulator` and hands
-    it down to the policy and memo via their ``attach_obs`` hooks, so
+    it down to the policy via its ``attach_obs`` hook, so
     interleaved simulations (pause/resume, nested experiments) never share
     mutable metric state. While the gate is on, freshly created scopes are
     also remembered in a bounded process-level log, which is how campaign

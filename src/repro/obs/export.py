@@ -16,12 +16,12 @@ The trace document follows the Trace Event Format (the JSON flavour both
   Each execution segment becomes a complete ("X") event whose ``ts``/``dur``
   are the *simulated* microseconds, so the schedule renders 1:1.
 - **Scheduler-internal tracks.** Each run gets a second process holding one
-  lane per span name (``decide``, ``candidacy``, ``memo.probe``,
-  ``engine.dispatch``). Spans anchored to simulated time (``sim_ts``) are
-  placed at that instant; their ``dur`` is the measured *wall* cost
-  converted to µs — deliberately mixed units, documented in
-  ``docs/OBSERVABILITY.md``, so "where does the millisecond go" reads
-  directly under the schedule. The true nanosecond cost rides in ``args``.
+  lane per span name (``decide``, ``candidacy``, ``engine.dispatch``).
+  Spans anchored to simulated time (``sim_ts``) are placed at that instant;
+  their ``dur`` is the measured *wall* cost converted to µs — deliberately
+  mixed units, documented in ``docs/OBSERVABILITY.md``, so "where does the
+  millisecond go" reads directly under the schedule. The true nanosecond
+  cost rides in ``args``.
 
 Everything is duck-typed against segment objects exposing
 ``start/end/partition/task`` (:class:`repro.sim.trace.Segment` fits) so this

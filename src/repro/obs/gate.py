@@ -1,7 +1,7 @@
 """The module-level on/off switch every instrumentation site consults.
 
 Kept in its own tiny module so the hot paths (``Counter.inc``, the engine's
-decide loop, the memo's ``prepare``) can do ``from repro.obs.gate import
+decide loop, TimeDice's candidacy sweep) can do ``from repro.obs.gate import
 GATE`` once at import time and then pay exactly one attribute read per
 check. When the gate is off, every instrumented call degrades to that read
 plus a branch — the "no-op attribute call" contract the decide micro-bench

@@ -48,7 +48,7 @@ class Counter:
 
     def add_always(self, n: int) -> None:
         """Ungated add — for folding externally accumulated exact counters
-        (e.g. :class:`~repro.core.memo.MemoStats`) into a snapshot."""
+        into a snapshot."""
         self.value += n
 
 

@@ -1,7 +1,7 @@
 """Span tracing: bounded, sampled wall-time spans with simulated-time anchors.
 
 A span records what one named operation cost — ``decide``, ``candidacy``,
-``memo.probe``, ``engine.dispatch`` — as a wall-clock duration, optionally
+``engine.dispatch`` — as a wall-clock duration, optionally
 anchored to the simulated instant it served (``sim_ts``, µs). The exporter
 (:mod:`repro.obs.export`) lays spans out on the simulated timeline so they
 line up under the schedule lanes in Perfetto.

@@ -47,10 +47,9 @@ def seeded_checksum_cell(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 def _summarize(spec, result) -> Dict[str, Any]:
     """The JSON summary of one run — identical fields whichever engine
-    produced ``result``. Memo counters are deliberately absent: they are
-    instrumentation of the scalar engine's internals, not properties of the
-    run, and the batch backend (which shares one memo across a whole group)
-    could never reproduce them per cell.
+    produced ``result``. Engine instrumentation is deliberately absent: it
+    describes an engine's internals, not properties of the run, and the
+    other backend could never reproduce it per cell.
     """
     return {
         "spec_hash": spec.content_hash(),

@@ -42,9 +42,9 @@ specs (``budget_donation``, ``measure_overhead``, custom behaviours or
 local schedulers) fall back to the scalar engine; the fallback ticks the
 gated ``batch.fallback`` counter in :data:`BATCH_METRICS`.
 
-What the batch engine does **not** reproduce: the schedulability memo (its
-``memo.*`` counters are engine-implementation artifacts, absent here), the
-``decide.wall_ns`` latency histogram, and ``run_until`` pause/resume.
+What the batch engine does **not** reproduce: the scalar engine's
+``decide.*`` instrumentation (the ``decide.wall_ns`` latency histogram and
+candidacy counters) and ``run_until`` pause/resume.
 """
 
 from __future__ import annotations
@@ -317,9 +317,10 @@ class BatchSimulator:
         self._budget_tril = (
             np.tril(np.ones((n, n), dtype=np.int64), -1) * self._max_budget[None, :]
         )[None, :, :]
-        # Shared phase-relative schedulability memo (see repro.core.memo for
-        # the exactness argument): (quantum, replenishment phases, remaining
-        # budgets) -> first failing rank. Period and max-budget vectors are
+        # Shared phase-relative schedulability memo: (quantum, replenishment
+        # phases, remaining budgets) -> first failing rank. It is exact
+        # because absolute time enters Eqs. 1-3 only through the
+        # replenishment phases r_i - t. Period and max-budget vectors are
         # part of the batch's shared system, so they drop out of the key —
         # which also lets every run in the batch share one cache.
         self._sched_memo: Dict[tuple, int] = {}

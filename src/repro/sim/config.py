@@ -202,7 +202,14 @@ class RunSpec:
             drives ``run_until`` itself.
         quantum: TimeDice MIN_INV_SIZE (µs); None means the engine default
             (:data:`repro.core.timedice.DEFAULT_QUANTUM`).
-        memoize: Whether TimeDice variants memoize schedulability outcomes.
+        memoize: Retained for hash stability only; it changes nothing about
+            the run. The scalar engine once had a schedulability memo behind
+            this flag; the field still round-trips through
+            :meth:`to_dict`/:meth:`from_dict` and participates in
+            :meth:`content_hash`, so every existing cell key, derived seed
+            and stored result stays byte-identical.
+            :meth:`Simulator.from_spec <repro.sim.engine.Simulator.from_spec>`
+            ignores it.
         channel: Optional covert-channel script
             (:meth:`ChannelScript.to_dict` form; also accepts a
             :class:`ChannelScript`).

@@ -116,13 +116,10 @@ class SimulationResult:
         decide_latencies_ns: Individual decide-call latencies (Table IV),
             collected only with ``measure_overhead=True``.
         deadline_misses: Count of jobs finishing after ``arrival + deadline``.
-        metrics: The run's :class:`repro.obs.MetricsRegistry` snapshot, with
-            the policy's exact memo counters folded in under ``memo.*``.
+        metrics: The run's :class:`repro.obs.MetricsRegistry` snapshot.
             Engine counters (``engine.*``) and the decide-latency histogram
             (``decide.wall_ns``) populate only while :func:`repro.obs.enable`
-            is in effect; the ``memo.*`` counters are always exact.
-            ``memo_hits`` and friends read through to it, preserving the
-            pre-``repro.obs`` attribute API.
+            is in effect; the ``faults.*`` counters are always exact.
     """
 
     end_time: int
@@ -136,24 +133,16 @@ class SimulationResult:
 
     @property
     def memo_hits(self) -> int:
-        return int(self.metrics.get("memo.hits", 0))
+        """Always 0: the scalar engine has no schedulability memo. Kept only
+        because the benchmark suite's tracer (``benchmarks/suite/trace.py``)
+        still reads it."""
+        return 0
 
     @property
     def memo_misses(self) -> int:
-        return int(self.metrics.get("memo.misses", 0))
-
-    @property
-    def memo_evictions(self) -> int:
-        return int(self.metrics.get("memo.evictions", 0))
-
-    @property
-    def memo_bypassed(self) -> int:
-        return int(self.metrics.get("memo.bypassed", 0))
-
-    @property
-    def memo_hit_rate(self) -> float:
-        lookups = self.memo_hits + self.memo_misses
-        return self.memo_hits / lookups if lookups else 0.0
+        """Always 0; kept for the benchmark suite's tracer, like
+        :attr:`memo_hits`."""
+        return 0
 
     @property
     def fault_injections(self) -> int:
@@ -200,11 +189,6 @@ class Simulator:
             budget guarantee carries local deadlines too) and ticks the
             gated ``sched.edf_infeasible`` counter per flagged partition.
         quantum: TimeDice MIN_INV_SIZE when ``policy`` is given by name.
-        memoize: When ``policy`` is given by name, whether its TimeDice
-            variants reuse schedulability-test outcomes across quanta
-            (:class:`repro.core.memo.SchedulabilityMemo`; default on).
-            Decision traces are bit-identical either way; the memo's
-            counters are surfaced on :class:`SimulationResult`.
         measure_overhead: Record wall-clock latency of every policy decision
             (Table IV / Fig. 17). Off by default — it roughly doubles the
             Python overhead of a run.
@@ -223,8 +207,8 @@ class Simulator:
         obs: Optional pre-built :class:`repro.obs.RunObs` scope; one is
             created per simulator when omitted. The scope's registry and
             span buffer collect only while :func:`repro.obs.enable` is in
-            effect, and are handed down to the policy/memo via their
-            ``attach_obs`` hooks. Its snapshot lands on
+            effect, and are handed down to the policy via its
+            ``attach_obs`` hook. Its snapshot lands on
             ``SimulationResult.metrics``.
         faults: Optional :class:`repro.faults.FaultPlan`. When omitted, the
             process-ambient plan (the CLI's ``--faults`` flag, see
@@ -250,7 +234,6 @@ class Simulator:
         quantum: int = DEFAULT_QUANTUM,
         measure_overhead: bool = False,
         budget_donation: bool = False,
-        memoize: bool = True,
         obs: Optional["_obs.RunObs"] = None,
         faults: Optional["_faults.FaultPlan"] = None,
     ):
@@ -263,7 +246,6 @@ class Simulator:
                 system=system,
                 seed=seed * 2 + 0x9E3779B9,
                 quantum=quantum,
-                memoize=memoize,
             )
         self.policy = policy
         self.channel = channel
@@ -394,6 +376,8 @@ class Simulator:
         affect cache identity. Registered local schedulers travel *inside*
         the spec (``spec.scheduler``); combining a non-default one with an
         explicit ``local_scheduler_factory`` is rejected as ambiguous.
+        ``spec.memoize`` is ignored: it is a hash-only field (see
+        :class:`~repro.sim.config.RunSpec`).
 
         When ``spec.engine == "batch"`` the run is routed to the vectorized
         backend (:mod:`repro.sim.batch`) and the return value is a
@@ -440,7 +424,6 @@ class Simulator:
             quantum=spec.effective_quantum,
             measure_overhead=spec.measure_overhead,
             budget_donation=spec.budget_donation,
-            memoize=spec.memoize,
             obs=obs,
             faults=spec.fault_plan(),
         )
@@ -783,18 +766,10 @@ class Simulator:
         """Step 4: fold the run's exact and gated metrics into the result."""
         result = self._result
         result.end_time = self.now
-        # The memo counters come from the policy's exact MemoStats
-        # accumulator (not gated counters), so they are correct whether or
-        # not obs is on.
         metrics = self.obs.registry.snapshot()
-        memo_stats = getattr(self.policy, "memo_stats", None)
-        if memo_stats is not None:
-            metrics["memo.hits"] = memo_stats.hits
-            metrics["memo.misses"] = memo_stats.misses
-            metrics["memo.evictions"] = memo_stats.evictions
-            metrics["memo.bypassed"] = memo_stats.bypassed
-        # Same overwrite discipline for the injector's exact counts: correct
-        # across repeated run_until calls, gate on or off.
+        # The injector's counts are exact (not gated counters) and overwrite
+        # the snapshot's, so they are correct across repeated run_until
+        # calls, gate on or off.
         if self._faults is not None:
             metrics.update(self._faults.metrics())
         result.metrics = metrics

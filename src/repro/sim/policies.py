@@ -26,7 +26,6 @@ from repro.core.selection import (
     UniformSelector,
     WeightedUtilizationSelector,
 )
-from repro.core.memo import DEFAULT_MEMO_SIZE
 from repro.core.state import SystemState
 from repro.core.timedice import DEFAULT_QUANTUM, TimeDice
 from repro.model.system import System
@@ -75,9 +74,7 @@ class TimeDicePolicy(GlobalPolicyBase):
     """TimeDice-enabled global scheduling (Sec. IV / Sec. V-A).
 
     The selected partition holds the CPU for at most one quantum; then the
-    dice are rolled again. ``memoize`` (default on) reuses schedulability
-    outcomes across quanta via :class:`repro.core.memo.SchedulabilityMemo`;
-    decisions are bit-identical either way.
+    dice are rolled again.
     """
 
     def __init__(
@@ -87,8 +84,6 @@ class TimeDicePolicy(GlobalPolicyBase):
         seed: Optional[int] = None,
         rng: Optional[random.Random] = None,
         allow_idle: bool = True,
-        memoize: bool = True,
-        memo_size: int = DEFAULT_MEMO_SIZE,
     ):
         self.scheduler = TimeDice(
             selector=selector,
@@ -96,8 +91,6 @@ class TimeDicePolicy(GlobalPolicyBase):
             allow_idle=allow_idle,
             seed=seed,
             rng=rng,
-            memoize=memoize,
-            memo_size=memo_size,
         )
         self.name = f"timedice-{self.scheduler.selector.name}"
 
@@ -112,11 +105,6 @@ class TimeDicePolicy(GlobalPolicyBase):
     @property
     def total_schedulability_tests(self) -> int:
         return self.scheduler.total_schedulability_tests
-
-    @property
-    def memo_stats(self):
-        """The memo's :class:`~repro.core.memo.MemoStats` (None if disabled)."""
-        return self.scheduler.memo_stats
 
 
 @dataclass(frozen=True)
@@ -286,51 +274,38 @@ def make_policy(
     system: Optional[System] = None,
     seed: Optional[int] = None,
     quantum: int = DEFAULT_QUANTUM,
-    memoize: bool = True,
 ) -> GlobalPolicyBase:
     """Build a policy by registered name (see
     :func:`repro.sim.registry.register_global_policy`).
 
     ``system`` is required for TDMA (the static table is system-specific);
-    ``seed``/``quantum``/``memoize`` apply to the TimeDice variants. Every
-    entry's factory receives all four keywords and uses what it needs.
+    ``seed``/``quantum`` apply to the TimeDice variants. Every entry's
+    factory receives all three keywords and uses what it needs.
     """
     entry = get_global_policy(name)
-    return entry.factory(system=system, seed=seed, quantum=quantum, memoize=memoize)
+    return entry.factory(system=system, seed=seed, quantum=quantum)
 
 
 # ------------------------------------------------- registry (spec-addressable)
 
 
-def _build_norandom(system=None, seed=None, quantum=DEFAULT_QUANTUM, memoize=True):
+def _build_norandom(system=None, seed=None, quantum=DEFAULT_QUANTUM):
     return FixedPriorityPolicy()
 
 
-def _build_timedice_weighted(
-    system=None, seed=None, quantum=DEFAULT_QUANTUM, memoize=True
-):
-    return TimeDicePolicy(
-        WeightedUtilizationSelector(), quantum=quantum, seed=seed, memoize=memoize
-    )
+def _build_timedice_weighted(system=None, seed=None, quantum=DEFAULT_QUANTUM):
+    return TimeDicePolicy(WeightedUtilizationSelector(), quantum=quantum, seed=seed)
 
 
-def _build_timedice_uniform(
-    system=None, seed=None, quantum=DEFAULT_QUANTUM, memoize=True
-):
-    return TimeDicePolicy(
-        UniformSelector(), quantum=quantum, seed=seed, memoize=memoize
-    )
+def _build_timedice_uniform(system=None, seed=None, quantum=DEFAULT_QUANTUM):
+    return TimeDicePolicy(UniformSelector(), quantum=quantum, seed=seed)
 
 
-def _build_timedice_inverse(
-    system=None, seed=None, quantum=DEFAULT_QUANTUM, memoize=True
-):
-    return TimeDicePolicy(
-        InverseUtilizationSelector(), quantum=quantum, seed=seed, memoize=memoize
-    )
+def _build_timedice_inverse(system=None, seed=None, quantum=DEFAULT_QUANTUM):
+    return TimeDicePolicy(InverseUtilizationSelector(), quantum=quantum, seed=seed)
 
 
-def _build_tdma(system=None, seed=None, quantum=DEFAULT_QUANTUM, memoize=True):
+def _build_tdma(system=None, seed=None, quantum=DEFAULT_QUANTUM):
     if system is None:
         raise ValueError("TDMA needs the system to build its static table")
     return TDMAPolicy(system)

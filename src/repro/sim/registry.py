@@ -69,7 +69,7 @@ class GlobalPolicyEntry:
 
     Attributes:
         name: The spec-addressable identifier (``RunSpec.policy``).
-        factory: ``(system=, seed=, quantum=, memoize=) -> GlobalPolicyBase``.
+        factory: ``(system=, seed=, quantum=) -> GlobalPolicyBase``.
         label: The :class:`repro.obs.RunObs` label of runs under this policy
             (the scalar engine reads it off the built instance's ``name``;
             the batch engine reads it here).

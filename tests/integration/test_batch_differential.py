@@ -5,8 +5,8 @@ lockstep through numpy arrays; its merge gate is **bit-identity with the
 scalar engine** on the complete observable outcome of every run — segment
 trace, job-completion records, decision/switch/miss counters, and every
 deterministic metric the scalar engine publishes *except* its private
-instrumentation (``memo.*`` hit counters and the ``decide.wall_ns``
-histogram, which describe the scalar implementation, not the schedule).
+instrumentation (the ``decide.*`` counters and histograms, which describe
+the scalar implementation, not the schedule).
 
 Three layers of evidence:
 
@@ -59,7 +59,7 @@ from tests.integration.test_engine_differential import (
 
 #: Scalar-engine instrumentation that the batch backend deliberately does
 #: not reproduce (see the bit-identity contract in repro/sim/batch.py).
-_SCALAR_ONLY_PREFIXES = ("memo.", "decide.")
+_SCALAR_ONLY_PREFIXES = ("decide.",)
 
 
 def _strip_scalar_only(outcome):

@@ -175,19 +175,6 @@ class TestOverhead:
         assert "Table IV" in result.format_table4()
         assert "Fig. 17" in result.format_fig17()
         assert "Table V" in result.format_table5()
-        assert "[memo]" in result.format_memo()
-        assert "[memo]" in result.format()
-
-    def test_memo_series_present(self, result):
-        # Every |Pi| is measured both uncached and memoized, with counters.
-        # These runs are jittered, so the adaptive memo may bypass most
-        # decisions (hit rate can legitimately be 0) — but every decision
-        # must be accounted for as a lookup or a bypass.
-        for n in (5, 10):
-            assert n in result.latencies_memo_us
-            stats = result.memo[n]
-            assert 0.0 <= stats["hit_rate"] <= 1.0
-            assert stats["hits"] + stats["misses"] + stats["bypassed"] > 0
 
 
 class TestFig18:

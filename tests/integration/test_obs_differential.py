@@ -2,7 +2,7 @@
 
 Instrumentation never touches any simulation RNG and sampling decisions are
 pure functions of per-name arrival counts, so a run must be bit-identical —
-decision sequence, schedule segments, memo counters — with observability
+decision sequence, schedule segments, candidacy counters — with observability
 off, on, on with aggressive sampling, and under trace capture. These tests
 are the acceptance gate for the repro.obs layer.
 """
@@ -35,7 +35,6 @@ def run(system, policy, seed, seconds=1.0):
         system,
         policy=policy,
         seed=seed,
-        memoize=policy.startswith("timedice"),
         observers=[log, segments],
     )
     result = sim.run_for_seconds(seconds)
@@ -44,16 +43,13 @@ def run(system, policy, seed, seconds=1.0):
 
 def fingerprint(run_tuple):
     """Everything that must stay bit-identical across obs modes."""
-    _, log, segments, result = run_tuple
+    sim, log, segments, result = run_tuple
     return (
         log.decisions,
         segments.segments,
         result.decisions,
         result.switches,
-        result.memo_hits,
-        result.memo_misses,
-        result.memo_evictions,
-        result.memo_bypassed,
+        getattr(sim.policy, "total_schedulability_tests", None),
         result.deadline_misses,
     )
 
@@ -91,24 +87,24 @@ def test_enabled_run_populates_metrics():
     assert metrics["engine.busy_us"] + metrics["engine.idle_us"] == ms(500)
     assert metrics["decide.wall_ns"]["count"] == result.decisions
     assert metrics["decide.schedulability_tests"] > 0
-    # memo counters folded from the exact MemoStats accumulator
-    assert metrics["memo.hits"] == result.memo_hits
+    # the gated counter agrees with the policy's exact lifetime count
+    assert metrics["decide.schedulability_tests"] == sim.policy.total_schedulability_tests
     summary = sim.obs.spans.summary()
     assert summary["decide"]["count"] == result.decisions
     assert "candidacy" in summary
 
 
-def test_disabled_run_still_reports_exact_memo_counters():
+def test_disabled_run_still_reports_exact_counters():
     system = three_partition_example()
     obs.disable()
-    sim, _, _, result = run(system, "timedice", 3, seconds=1.0)
-    stats = sim.policy.memo_stats
-    assert stats.lookups > 0
-    assert result.memo_hits == stats.hits
-    assert result.memo_misses == stats.misses
-    # gated engine metrics stayed at zero
+    sim, log, _, result = run(system, "timedice", 3, seconds=1.0)
+    # the exact (ungated) counters keep counting
+    assert result.decisions == len(log.decisions) > 0
+    assert sim.policy.total_schedulability_tests > 0
+    # gated engine and decide metrics stayed at zero
     assert result.metrics["engine.segments"] == 0
     assert result.metrics["decide.wall_ns"]["count"] == 0
+    assert result.metrics["decide.schedulability_tests"] == 0
 
 
 def test_pause_resume_matches_uninterrupted_with_obs_on():

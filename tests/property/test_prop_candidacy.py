@@ -1,5 +1,5 @@
 """Property tests pinning the optimized candidate search to a brute-force
-oracle, and the memoized tester to the direct one."""
+oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro._time import ms
 from repro.core.busy_interval import schedulability_test
 from repro.core.candidacy import candidate_search
-from repro.core.memo import SchedulabilityMemo
 from repro.core.state import IDLE, SystemState
 
 from tests.property.test_prop_core import system_states
@@ -62,18 +61,3 @@ class TestOracleAgreement:
         candidates, stats = candidate_search(state, ms(w_ms), allow_idle=allow_idle)
         assert names(candidates) == names(expected)
         assert stats.idle_allowed == expected_idle
-
-    @given(system_states(), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=150, deadline=None)
-    def test_memoized_tester_is_transparent(self, state, w_ms):
-        # One memo shared across all examples: correctness must survive
-        # arbitrary interleavings of hits and misses.
-        candidates, stats = candidate_search(state, ms(w_ms), tester=MEMO)
-        plain, plain_stats = candidate_search(state, ms(w_ms))
-        assert names(candidates) == names(plain)
-        assert stats.idle_allowed == plain_stats.idle_allowed
-        # Logical test counts are unchanged by caching.
-        assert stats.schedulability_tests == plain_stats.schedulability_tests
-
-
-MEMO = SchedulabilityMemo()

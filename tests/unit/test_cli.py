@@ -97,7 +97,7 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "[stats" in out
         assert "decide.wall_ns" in out
-        assert "memo.hits" in out
+        assert "decide.schedulability_tests" in out
         assert "spans:" in out
         # stats enables obs only for its own run
         assert not obs.is_enabled()

@@ -368,13 +368,13 @@ class TestExport:
         plain_hist.observe(3)
         text = format_metrics(
             {
-                "memo.hits": 12,
+                "decide.schedulability_tests": 12,
                 "decide.wall_ns": ns_hist.snapshot(),
                 "decide.candidates": plain_hist.snapshot(),
             },
             {"decide": {"count": 1, "total_ns": 1500, "mean_ns": 1500.0, "recorded": 1}},
         )
-        assert "memo.hits = 12" in text
+        assert "decide.schedulability_tests = 12" in text
         assert "1.500 us" in text  # _ns histogram rendered as time
         assert "p50=3" in text  # plain histogram rendered as a number
         assert "decide: count=1" in text

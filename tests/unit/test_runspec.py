@@ -21,6 +21,7 @@ from repro.sim.config import (
     register_system_builder,
 )
 from repro.sim.engine import Simulator
+from repro.sim.trace import SegmentRecorder
 
 
 class TestSystemSpec:
@@ -184,8 +185,7 @@ class TestFromSpec:
             result.decisions,
             result.switches,
             result.deadline_misses,
-            result.memo_hits,
-            result.memo_misses,
+            sim.policy.total_schedulability_tests,
             result.fault_injections,
         )
 
@@ -227,6 +227,26 @@ class TestFromSpec:
         bare = self._fingerprint(Simulator.from_spec(spec), horizon)
         assert ambient == explicit
         assert ambient != bare
+
+    def test_memoize_field_is_hash_only(self):
+        # RunSpec.memoize survives only so existing content hashes stay
+        # byte-identical: it is hashed but never changes the run.
+        obs.disable()
+        spec = RunSpec(
+            system=SystemSpec.named("three_partition"),
+            policy="timedice",
+            seed=9,
+            horizon=ms(400),
+        )
+        runs = []
+        for memoize in (True, False):
+            segments = SegmentRecorder()
+            sim = Simulator.from_spec(spec.replace(memoize=memoize), observers=[segments])
+            result = sim.run_until(spec.horizon)
+            runs.append((result.decisions, result.switches, segments.segments))
+        assert runs[0] == runs[1]
+        assert runs[0][2]
+        assert spec.replace(memoize=False).content_hash() != spec.content_hash()
 
 
 class TestRunForValidation:
